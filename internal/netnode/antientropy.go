@@ -1,5 +1,5 @@
 // Merkle anti-entropy between replicas (docs/STORAGE.md): replicateOnce
-// pushes copies forward, but pushes are lossy — a replica that was down,
+// pushes what changed, but pushes are lossy — a replica that was down,
 // a dropped RPC, a compaction race — so replicas additionally compare
 // summaries and repair the difference. The protocol per (level, partner):
 //
@@ -52,23 +52,14 @@ func (n *Node) AntiEntropyOnce(ctx context.Context) AntiEntropyStats {
 	v := n.routing.Load()
 	for l := 0; l <= v.levels; l++ {
 		lo, hi := v.self.ID, v.succAt(l).ID
-		target := v.preds[l]
-		for i := 0; i < n.cfg.ReplicationFactor-1; i++ {
-			if target.IsZero() || target.Addr == v.self.Addr {
-				break
-			}
+		for _, target := range n.replicaChain(ctx, v, l) {
 			pushed, pulled, err := n.syncWith(ctx, target, v.prefixes[l], lo, hi)
 			if err != nil {
-				break
+				continue
 			}
 			stats.Partners++
 			stats.Pushed += pushed
 			stats.Pulled += pulled
-			next, err := n.predecessorOf(ctx, target, l)
-			if err != nil {
-				break
-			}
-			target = next
 		}
 	}
 	n.m.antiEntropyRounds.Inc()

@@ -30,7 +30,22 @@ const (
 	mnAESyncs      = "canon_antientropy_syncs_total"
 	mnAEPushed     = "canon_antientropy_keys_pushed_total"
 	mnAEPulled     = "canon_antientropy_keys_pulled_total"
+	mnReplPushes   = "canon_replica_pushes_total"
+	mnReplFull     = "canon_replicate_full_rounds_total"
 )
+
+// replicaPushKind labels canon_replica_pushes_total: the three ways a
+// replication round copies a record to another node.
+type replicaPushKind int
+
+const (
+	pushChain   replicaPushKind = iota // primary to a replica-chain predecessor
+	pushLevel                          // primary to a deeper ring's key owner
+	pushHandoff                        // copy to the owner that took the key over
+	numPushKinds
+)
+
+var replicaPushKindNames = [numPushKinds]string{"chain", "level", "handoff"}
 
 // knownMsgTypes is every wire message type the node itself sends or serves.
 // Their per-type counters are pre-registered at construction into immutable
@@ -68,6 +83,9 @@ type nodeMetrics struct {
 	antiEntropyPushed *telemetry.Counter
 	antiEntropyPulled *telemetry.Counter
 
+	replicaPushes       [numPushKinds]*telemetry.Counter
+	replicateFullRounds *telemetry.Counter
+
 	// sentFixed/receivedFixed are immutable after construction: read-only
 	// map lookups are safe for unsynchronized concurrent use.
 	sentFixed     map[string]*telemetry.Counter
@@ -103,10 +121,16 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"records pushed to replica partners by anti-entropy repair"),
 		antiEntropyPulled: reg.Counter(mnAEPulled,
 			"records pulled from replica partners by anti-entropy repair"),
+		replicateFullRounds: reg.Counter(mnReplFull,
+			"replication rounds that swept every stored record: the node's first, or placement moved"),
 		sentFixed:     make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		receivedFixed: make(map[string]*telemetry.Counter, len(knownMsgTypes)),
 		sent:          make(map[string]*telemetry.Counter),
 		received:      make(map[string]*telemetry.Counter),
+	}
+	for k, name := range replicaPushKindNames {
+		m.replicaPushes[k] = reg.Counter(mnReplPushes, "records a replication round copied to another node, by kind",
+			telemetry.L("kind", name))
 	}
 	for _, t := range knownMsgTypes {
 		m.sentFixed[t] = reg.Counter(mnSent, "outgoing requests by message type (first attempts only)",

@@ -64,9 +64,11 @@ type Config struct {
 	RegistrySize int
 	// ReplicationFactor is how many copies of each item exist, counting the
 	// owner's: the owner pushes ReplicationFactor-1 replicas to its
-	// predecessors within the item's home domain on every stabilization
-	// round, and anti-entropy keeps that replica set convergent. Values
-	// below 2 disable both (the default).
+	// predecessors within the item's home domain, and anti-entropy keeps
+	// that replica set convergent. A stabilization round pushes only what
+	// changed since the node's last round, or everything when the replica
+	// placement moved (docs/STORAGE.md §6). Values below 2 disable both
+	// (the default).
 	ReplicationFactor int
 	// Store is the node-local storage engine holding the node's items. Nil
 	// means a volatile in-memory store (canonstore.NewMem) — the default
@@ -123,6 +125,9 @@ type Node struct {
 	// fresh versions from it and observeVersion advances it past every
 	// version seen on the wire, so local stamps always order after them.
 	clock atomic.Uint64
+	// replMem is the replication round's memory (replicateOnce); a round
+	// takes it out with Swap and puts it back when done.
+	replMem atomic.Pointer[replicaMemory]
 
 	// routing is the published epoch snapshot of the mutable tables below:
 	// the forwarding hot path reads it lock-free, and every mutation of

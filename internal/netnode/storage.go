@@ -3,6 +3,7 @@ package netnode
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/canon-dht/canon/internal/canonstore"
 	"github.com/canon-dht/canon/internal/id"
@@ -289,111 +290,248 @@ func ownsInView(v *routingView, key uint64, level int) bool {
 		v.space.Clockwise(id.ID(v.self.ID), id.ID(succ.ID))
 }
 
-// replicateOnce walks the node's stored entries and enforces Section 4's
-// placement against one routing-view epoch:
-//
-//   - An entry whose placement-level ownership moved (a join spliced a new
-//     owner into the range, or this is a replica whose primary lives
-//     elsewhere) is handed to the current owner, versions intact; the local
-//     copy stays behind as an extra replica until eviction policy exists.
-//   - A primary (an entry at its home level that this node owns) is pushed
-//     to the ReplicationFactor-1 nearest predecessors within its home
-//     domain — under the paper's responsibility rule a dead node's range is
-//     inherited by its predecessor, so predecessors are the nodes that must
-//     hold the replicas — and re-placed on every deeper ring of this node's
-//     chain at that ring's key owner, level-annotated, so each nested
-//     domain can serve the key locally.
-//
-// Called from StabilizeOnce so replicas follow ring repairs.
-func (n *Node) replicateOnce(ctx context.Context) {
-	v := n.routing.Load()
-	var entries []canonstore.Entry
-	n.store.ForEach(func(e canonstore.Entry) bool {
-		entries = append(entries, e)
-		return true
-	})
-	for _, e := range entries {
-		home := entryHome(e)
-		d := prefixLevel(home)
-		if d > v.levels {
-			continue
-		}
-		placed := e.Level
-		if placed < d || placed > v.levels {
-			placed = d
-		}
-		if !ownsInView(v, e.Key, placed) {
-			n.handOff(ctx, e, placed)
-			continue
-		}
-		if e.Level != d {
-			continue // a per-level copy we own: the primary refreshes it
-		}
-		n.pushChainReplicas(ctx, v, e, d)
-		for l := d + 1; l <= v.levels; l++ {
-			n.pushLevelCopy(ctx, v, e, l)
-		}
-	}
+// replicaStamp is what a replication round remembers of one record: the
+// state it acted on, whether this node owned the record at its placement
+// level then, and whether a push failed (pending: act again next round).
+type replicaStamp struct {
+	version, digest uint64
+	level           int
+	owned, pending  bool
 }
 
-// pushChainReplicas pushes one owned primary to the ReplicationFactor-1
-// nearest predecessors on its home-level ring, walking pred pointers
-// through neighbor queries.
-func (n *Node) pushChainReplicas(ctx context.Context, v *routingView, e canonstore.Entry, level int) {
-	if n.cfg.ReplicationFactor < 2 {
-		return
-	}
-	req, err := transport.NewMessage(msgStoreV2, reqFromEntry(e, true))
-	if err != nil {
-		return
-	}
-	target := v.preds[level]
-	for i := 0; i < n.cfg.ReplicationFactor-1; i++ {
-		if target.IsZero() || target.Addr == v.self.Addr {
+// replicaMemory is a node's memory of its last replication round: the
+// placement fingerprint the round ran under and a stamp per record. It
+// lives only in RAM, so a restarted node starts without one and its first
+// round sweeps every entry.
+type replicaMemory struct {
+	placement []string
+	done      map[entryIdent]replicaStamp
+}
+
+// replicaChain resolves the node's replica chain at level l: the
+// ReplicationFactor-1 nearest distinct predecessors on that level's ring,
+// walking pred pointers through neighbor queries. The first member comes
+// from the routing view, so RF 3 costs one RPC; the walk stops early at
+// self, a repeat or a failed query, which keeps rings smaller than RF short.
+func (n *Node) replicaChain(ctx context.Context, v *routingView, l int) []Info {
+	var chain []Info
+	target := v.preds[l]
+	for len(chain) < n.cfg.ReplicationFactor-1 {
+		if target.IsZero() || target.Addr == v.self.Addr ||
+			slices.ContainsFunc(chain, func(c Info) bool { return c.Addr == target.Addr }) {
 			break
 		}
-		if _, err := n.call(ctx, target.Addr, req); err != nil {
+		chain = append(chain, target)
+		if len(chain) == n.cfg.ReplicationFactor-1 {
 			break
 		}
-		next, err := n.predecessorOf(ctx, target, level)
+		next, err := n.predecessorOf(ctx, target, l)
 		if err != nil {
 			break
 		}
 		target = next
 	}
+	return chain
+}
+
+// placementOf is the fingerprint of everything a round's pushes are aimed
+// by: the successor and the resolved replica chain at every level.
+func placementOf(v *routingView, chains [][]Info) []string {
+	var fp []string
+	for l := 0; l <= v.levels; l++ {
+		fp = append(fp, v.succAt(l).Addr)
+		for _, c := range chains[l] {
+			fp = append(fp, c.Addr)
+		}
+		fp = append(fp, "|")
+	}
+	return fp
+}
+
+// replicateOnce enforces Section 4's placement against one routing-view
+// epoch, acting only where something can have changed: on a record whose
+// (Version, Digest, Level) differs from what this node last handled
+// completely, or on every record when the placement fingerprint moved
+// since the previous round (or the node has no memory yet). For each
+// record it acts on:
+//
+//   - An entry whose placement-level ownership moved is handed to the
+//     current owner within its home domain, versions intact; the local copy
+//     stays behind as an extra replica until eviction policy exists. A
+//     chain replica — a node that never owned the entry and whose view puts
+//     the owner among its first ReplicationFactor-1 successors — keeps its
+//     copy and hands nothing back.
+//   - A primary (an entry at its home level that this node owns) is pushed
+//     to the level's replica chain, the ReplicationFactor-1 nearest
+//     predecessors within its home domain — under the paper's
+//     responsibility rule a dead node's range is inherited by its
+//     predecessor, so predecessors are the nodes that must hold the
+//     replicas — and re-placed on every deeper ring of this node's chain at
+//     that ring's key owner, level-annotated, so each nested domain can
+//     serve the key locally.
+//
+// A record any of whose pushes failed stays pending for the next round;
+// anti-entropy repairs what a lost push leaves behind. The replica chains
+// are resolved once per round, and only when the store holds something.
+// Called from StabilizeOnce so replicas follow ring repairs.
+func (n *Node) replicateOnce(ctx context.Context) {
+	var entries []canonstore.Entry
+	n.store.ForEach(func(e canonstore.Entry) bool {
+		entries = append(entries, e)
+		return true
+	})
+	if len(entries) == 0 {
+		return
+	}
+	// Take the memory out for the round: a concurrent round finds none and
+	// sweeps in full, which is redundant but never wrong, and no lock is
+	// held across the pushes.
+	mem := n.replMem.Swap(nil)
+	if mem == nil {
+		mem = &replicaMemory{}
+	}
+	v := n.routing.Load()
+	chains := make([][]Info, v.levels+1)
+	for l := range chains {
+		chains[l] = n.replicaChain(ctx, v, l)
+	}
+	placement := placementOf(v, chains)
+	full := !slices.Equal(mem.placement, placement)
+	if full {
+		n.m.replicateFullRounds.Inc()
+	}
+	done := make(map[entryIdent]replicaStamp, len(entries))
+	for _, e := range entries {
+		ident := identOfEntry(e)
+		last, seen := mem.done[ident]
+		// owned is carried over so the comparison is on the record and the
+		// pending flag alone.
+		stamp := replicaStamp{version: e.Version, digest: e.Digest(), level: e.Level, owned: last.owned}
+		if !full && seen && stamp == last {
+			done[ident] = last
+			continue
+		}
+		owned, ok := n.replicateEntry(ctx, v, chains, e, last.owned)
+		stamp.owned, stamp.pending = owned, !ok
+		done[ident] = stamp
+	}
+	n.replMem.Store(&replicaMemory{placement: placement, done: done})
+}
+
+// replicateEntry applies the placement rules to one record and reports
+// whether this node owns it at its placement level and whether every push
+// the record needed succeeded. wasOwner says the node owned the record the
+// last time it handled it, which makes a lost ownership a real move.
+func (n *Node) replicateEntry(ctx context.Context, v *routingView, chains [][]Info, e canonstore.Entry, wasOwner bool) (owned, ok bool) {
+	d := prefixLevel(entryHome(e))
+	if d > v.levels {
+		return false, true
+	}
+	placed := e.Level
+	if placed < d || placed > v.levels {
+		placed = d
+	}
+	if !ownsInView(v, e.Key, placed) {
+		if placed == d && !wasOwner && v.chainReplicaOf(e.Key, d, n.cfg.ReplicationFactor) {
+			return false, true
+		}
+		return false, n.handOff(ctx, e, placed)
+	}
+	if e.Level != d {
+		return true, true // a per-level copy we own: the primary refreshes it
+	}
+	ok = n.pushChainReplicas(ctx, chains[d], e)
+	for l := d + 1; l <= v.levels; l++ {
+		ok = n.pushLevelCopy(ctx, v, e, l) && ok
+	}
+	return true, ok
+}
+
+// chainReplicaOf reports whether, by this view, the node sits on the
+// replica chain of key at level l: the key's owner is among its first rf-1
+// successors there. A successor list shorter than rf is taken as the whole
+// ring (a ring smaller than rf, where every other member is a replica).
+// Only meaningful for a key the node does not own.
+func (v *routingView) chainReplicaOf(key uint64, l, rf int) bool {
+	if rf < 2 {
+		return false
+	}
+	succs := v.succs[l]
+	if len(succs) < rf {
+		return true
+	}
+	return v.space.Clockwise(id.ID(v.self.ID), id.ID(key)) <
+		v.space.Clockwise(id.ID(v.self.ID), id.ID(succs[rf-1].ID))
+}
+
+// pushChainReplicas pushes one owned primary to every member of its home
+// level's replica chain and reports whether all of them took it.
+func (n *Node) pushChainReplicas(ctx context.Context, chain []Info, e canonstore.Entry) bool {
+	if len(chain) == 0 {
+		return true
+	}
+	req, err := transport.NewMessage(msgStoreV2, reqFromEntry(e, true))
+	if err != nil {
+		return false
+	}
+	ok := true
+	for _, target := range chain {
+		if _, err := n.call(ctx, target.Addr, req); err != nil {
+			ok = false
+			continue
+		}
+		n.m.replicaPushes[pushChain].Inc()
+	}
+	return ok
 }
 
 // pushLevelCopy places a copy of an owned primary at the key's owner on
 // the level-l ring of this node's chain, annotated with that level — the
-// paper's per-level storage domains made live.
-func (n *Node) pushLevelCopy(ctx context.Context, v *routingView, e canonstore.Entry, l int) {
+// paper's per-level storage domains made live. It reports whether the copy
+// is in place.
+func (n *Node) pushLevelCopy(ctx context.Context, v *routingView, e canonstore.Entry, l int) bool {
 	owner, err := n.Lookup(ctx, e.Key, v.prefixes[l])
-	if err != nil || owner.Addr == v.self.Addr {
-		return
+	if err != nil {
+		return false
+	}
+	if owner.Addr == v.self.Addr {
+		return true
 	}
 	req := reqFromEntry(e, true)
 	req.Level = l
-	_ = n.storeAt(ctx, owner, req)
+	if err := n.storeAt(ctx, owner, req); err != nil {
+		return false
+	}
+	n.m.replicaPushes[pushLevel].Inc()
+	return true
 }
 
 // handOff pushes an entry this node no longer owns at its placement level
-// to the current owner within the entry's home domain.
-func (n *Node) handOff(ctx context.Context, e canonstore.Entry, level int) {
+// to the current owner within the entry's home domain, reporting whether
+// nothing is left to do.
+func (n *Node) handOff(ctx context.Context, e canonstore.Entry, level int) bool {
 	prefix := prefixAt(n.self.Name, level)
 	if !inDomain(prefix, entryHome(e)) {
-		return // the entry's home domain is not on our chain; nothing to do
+		return true // the entry's home domain is not on our chain; nothing to do
 	}
 	owner, err := n.Lookup(ctx, e.Key, prefix)
-	if err != nil || owner.Addr == n.self.Addr {
-		return
+	if err != nil {
+		return false
+	}
+	if owner.Addr == n.self.Addr {
+		return true
 	}
 	req := reqFromEntry(e, true)
 	req.Level = level
 	msg, err := transport.NewMessage(msgStoreV2, req)
 	if err != nil {
-		return
+		return false
 	}
-	_, _ = n.call(ctx, owner.Addr, msg)
+	if _, err := n.call(ctx, owner.Addr, msg); err != nil {
+		return false
+	}
+	n.m.replicaPushes[pushHandoff].Inc()
+	return true
 }
 
 // predecessorOf asks a remote node for its predecessor at a level.
